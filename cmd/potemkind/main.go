@@ -350,9 +350,9 @@ func main() {
 		}
 		os.Exit(code)
 	}
-	opts.OnDetected = func(addr string, n int) {
+	opts.Hooks = &potemkin.Hooks{OnDetected: func(addr string, n int) {
 		fmt.Printf("  !! scan detector: VM %s attempted %d distinct targets\n", addr, n)
-	}
+	}}
 	if *eventLog != "" {
 		f, err := os.Create(*eventLog)
 		if err != nil {
@@ -454,12 +454,13 @@ func main() {
 		fmt.Printf("debug endpoint on http://%s (/snapshot, /metrics, /debug/vars, /debug/pprof)\n", *debug)
 	}
 
-	// Progress reporting rides the simulation clock. In -parallel mode
-	// there is no single kernel to hang a ticker on (each shard owns
-	// its own), so progress comes only from the final report.
-	in := hf.Internals()
-	if in.Kernel != nil {
-		in.Kernel.Every(*interval, func(now sim.Time) {
+	// Progress reporting rides the simulation clock of shard 0. Without
+	// -parallel the shards advance on this goroutine, so the ticker may
+	// read all of them; under -parallel they run concurrently, so
+	// progress comes only from the final report.
+	eng := hf.Internals().Engine
+	if !*parallel {
+		eng.Domains()[0].K.Every(*interval, func(now sim.Time) {
 			snap := hf.Snapshot()
 			line := fmt.Sprintf("  t=%-8v live=%-5d infected=%-4d bindings=%d recycled=%d pending=%d mem=%dMiB",
 				time.Duration(now).Truncate(time.Millisecond), snap.LiveVMs, snap.InfectedVMs,
@@ -585,12 +586,7 @@ func main() {
 		tab.Render(os.Stdout)
 	}
 
-	var gt guest.Stats
-	if eng := hf.Internals().Engine; eng != nil {
-		gt = eng.GuestTotals()
-	} else {
-		gt = hf.Internals().Farm.GuestTotals()
-	}
+	gt := eng.GuestTotals()
 	fmt.Printf("  guest activity (live VMs): conns=%d established=%d app-responses=%d dns=%d scans-out=%d\n",
 		gt.ConnsAccepted, gt.ConnsEstablished, gt.AppResponses, gt.DNSQueries, gt.ScansOut)
 

@@ -19,9 +19,9 @@ func main() {
 		Servers:        2,
 		Policy:         potemkin.ReflectSource,
 		IdleTimeout:    5 * time.Second,
-		OnEgress: func(pkt string) {
+		Hooks: &potemkin.Hooks{OnEgress: func(pkt string) {
 			fmt.Printf("  [egress] %s\n", pkt)
-		},
+		}},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -80,13 +80,17 @@ func TestValidateParallelConstraints(t *testing.T) {
 	if err := (Options{Parallel: true, GatewayShards: 4}).Validate(); err != nil {
 		t.Errorf("4 shards over 4 default servers should validate: %v", err)
 	}
+	// Every shard is its own domain with its own servers, Parallel or
+	// not, so the server floor applies to any multi-shard farm.
+	if err := (Options{GatewayShards: 8}).Validate(); err == nil ||
+		!strings.Contains(err.Error(), "at least one server per shard") {
+		t.Errorf("8 non-parallel shards over 4 default servers should fail: %v", err)
+	}
 }
 
-// TestHooksStruct checks the consolidated Hooks callbacks fire, and
-// that they win over the deprecated per-field callbacks when both are
-// set.
+// TestHooksStruct checks the consolidated Hooks callbacks fire.
 func TestHooksStruct(t *testing.T) {
-	var viaHooks, viaLegacy []string
+	var viaHooks []string
 	var infected int
 	hf := MustNew(Options{
 		Policy: ReflectSource,
@@ -94,7 +98,6 @@ func TestHooksStruct(t *testing.T) {
 			OnEgress:   func(p string) { viaHooks = append(viaHooks, p) },
 			OnInfected: func(addr string, gen int) { infected++ },
 		},
-		OnEgress: func(p string) { viaLegacy = append(viaLegacy, p) },
 	})
 	defer hf.Close()
 	hf.InjectProbe("203.0.113.9", "10.5.1.2", 445)
@@ -103,26 +106,8 @@ func TestHooksStruct(t *testing.T) {
 	if len(viaHooks) == 0 {
 		t.Error("Hooks.OnEgress never fired")
 	}
-	if len(viaLegacy) != 0 {
-		t.Errorf("deprecated OnEgress fired despite Hooks.OnEgress: %v", viaLegacy)
-	}
 	if infected == 0 {
 		t.Error("Hooks.OnInfected never fired")
-	}
-}
-
-// TestDeprecatedHookFieldsForwarded checks the legacy per-field
-// callbacks still work when no Hooks struct is given.
-func TestDeprecatedHookFieldsForwarded(t *testing.T) {
-	var infected []string
-	hf := MustNew(Options{
-		OnInfected: func(addr string, gen int) { infected = append(infected, addr) },
-	})
-	defer hf.Close()
-	hf.InjectExploit("198.51.100.7", "10.5.2.3")
-	hf.RunFor(time.Second)
-	if len(infected) != 1 || infected[0] != "10.5.2.3" {
-		t.Errorf("legacy OnInfected saw %v", infected)
 	}
 }
 
@@ -153,81 +138,6 @@ func TestNewErrorClosesCaptures(t *testing.T) {
 			t.Errorf("capture %s unexpectedly has records", name)
 		}
 		f.Close()
-	}
-}
-
-// replayStats runs one honeyfarm over a fixed trace through the given
-// entry point and returns (injected, final stats).
-func replayStats(t *testing.T, run func(hf *Honeyfarm, recs []TraceRecord) int) (int, Stats) {
-	t.Helper()
-	hf := MustNew(Options{Seed: 5, IdleTimeout: time.Second})
-	defer hf.Close()
-	recs, err := hf.GenerateTrace(time.Second, 400)
-	if err != nil {
-		t.Fatalf("GenerateTrace: %v", err)
-	}
-	n := run(hf, recs)
-	hf.RunFor(2 * time.Second)
-	return n, hf.Stats()
-}
-
-// TestReplayMatchesLegacyEntryPoints is the facade-level equivalence
-// test: Replay with each option combination injects the same count and
-// reaches the same final Stats as the three deprecated entry points on
-// the same seed and trace.
-func TestReplayMatchesLegacyEntryPoints(t *testing.T) {
-	refN, refStats := replayStats(t, func(hf *Honeyfarm, recs []TraceRecord) int {
-		n, err := hf.Replay(SliceSource(recs))
-		if err != nil {
-			t.Fatalf("Replay: %v", err)
-		}
-		return n
-	})
-	if refN == 0 || refStats.InboundPackets == 0 {
-		t.Fatalf("vacuous reference run: n=%d stats=%v", refN, refStats)
-	}
-
-	cases := map[string]func(hf *Honeyfarm, recs []TraceRecord) int{
-		"ReplayTrace": func(hf *Honeyfarm, recs []TraceRecord) int {
-			return hf.ReplayTrace(recs)
-		},
-		"ReplayStream": func(hf *Honeyfarm, recs []TraceRecord) int {
-			n, err := hf.ReplayStream(SliceSource(recs))
-			if err != nil {
-				t.Fatalf("ReplayStream: %v", err)
-			}
-			return n
-		},
-		"ReplayStreamHalt": func(hf *Honeyfarm, recs []TraceRecord) int {
-			n, err := hf.ReplayStreamHalt(SliceSource(recs), func() bool { return false })
-			if err != nil {
-				t.Fatalf("ReplayStreamHalt: %v", err)
-			}
-			return n
-		},
-		"Replay+WithHalt": func(hf *Honeyfarm, recs []TraceRecord) int {
-			n, err := hf.Replay(SliceSource(recs), WithHalt(func() bool { return false }))
-			if err != nil {
-				t.Fatalf("Replay: %v", err)
-			}
-			return n
-		},
-		"Replay+WithEpilogue": func(hf *Honeyfarm, recs []TraceRecord) int {
-			n, err := hf.Replay(SliceSource(recs), WithEpilogue(time.Millisecond))
-			if err != nil {
-				t.Fatalf("Replay: %v", err)
-			}
-			return n
-		},
-	}
-	for name, run := range cases {
-		n, stats := replayStats(t, run)
-		if n != refN {
-			t.Errorf("%s injected %d, Replay injected %d", name, n, refN)
-		}
-		if !reflect.DeepEqual(stats, refStats) {
-			t.Errorf("%s stats diverge:\n%v\nvs Replay:\n%v", name, stats, refStats)
-		}
 	}
 }
 
@@ -320,30 +230,21 @@ func TestParallelFacade(t *testing.T) {
 }
 
 // TestParallelInternals checks the Internals surface in Parallel mode:
-// Engine set, sequential handles nil, and WireBridge — which panicked
-// here before live parallel ingest landed — returns a usable bridge
-// routed through the engine's epoch-feeding replay path.
+// the engine carries one domain per shard, each with its own kernel,
+// gateway, farm slice, and resolver.
 func TestParallelInternals(t *testing.T) {
 	hf := MustNew(Options{Parallel: true, GatewayShards: 2, Servers: 2})
 	defer hf.Close()
-	in := hf.Internals()
-	if in.Engine == nil {
-		t.Fatal("Internals.Engine nil in Parallel mode")
+	eng := hf.Internals().Engine
+	if eng == nil || eng.Shards() != 2 {
+		t.Fatalf("Internals.Engine = %v, want 2 shards", eng)
 	}
-	if in.Kernel != nil || in.Farm != nil || in.Gateway != nil || in.Sharded != nil {
-		t.Error("sequential internals should be nil in Parallel mode")
+	for _, d := range eng.Domains() {
+		if d.K == nil || d.G == nil || d.F == nil || d.Resolver == nil {
+			t.Errorf("domain %d incomplete: %+v", d.Index, d)
+		}
 	}
 	if hf.Resolver() == nil {
 		t.Error("Resolver() nil in Parallel mode")
-	}
-	br := hf.WireBridge(1)
-	if br == nil {
-		t.Fatal("WireBridge returned nil in Parallel mode")
-	}
-	if br.PumpFn == nil {
-		t.Error("Parallel-mode WireBridge should delegate Pump to the engine replay path")
-	}
-	if br.K != nil {
-		t.Error("Parallel-mode WireBridge must not hold a single kernel")
 	}
 }

@@ -57,7 +57,7 @@ const (
 // ShardEngineConfig parameterizes a ShardEngine.
 type ShardEngineConfig struct {
 	// Shards is the number of domains (>= 1). The monitored space is
-	// partitioned by address index mod Shards, like gateway.Sharded.
+	// partitioned by address index mod Shards.
 	Shards int
 	// Lookahead is the epoch length / minimum cross-shard latency.
 	// Zero defaults to 1 ms, the facade's internal re-injection delay.
@@ -95,17 +95,19 @@ type ShardEngineConfig struct {
 
 	// EventLog, when non-nil, receives the forensic event logs of all
 	// shards: buffered per domain during the run, written in shard
-	// order on Close, so the bytes are a pure function of the seed.
+	// order on Close, so the bytes are a pure function of the seed. A
+	// one-shard engine has no order to restore and streams instead.
 	EventLog io.Writer
 	// TraceOut likewise receives the per-domain span traces in shard
-	// order on Close.
+	// order on Close (streamed with one shard).
 	TraceOut io.Writer
 	// ChromeOut, when non-nil, receives the merged Chrome (Perfetto)
 	// trace: per-domain span records are buffered during the run and
 	// streamed through one ChromeWriter in shard order on Close, with
 	// trace IDs shard-tagged so rows from different domains never
 	// collide. Byte-identical between parallel and sequential runs of
-	// the same seed, like EventLog and TraceOut.
+	// the same seed, like EventLog and TraceOut. Streamed with one
+	// shard, whose tag is zero.
 	ChromeOut io.Writer
 
 	// Metrics, when non-nil, is the shared live-telemetry registry
@@ -165,10 +167,10 @@ func (cfg ShardEngineConfig) Validate() error {
 }
 
 // OwnerOf maps addr onto its owning shard: addresses in space partition
-// by index mod shards, addresses outside route to shard 0 (like
-// gateway.Sharded, so they are counted somewhere deterministic). The
-// cluster coordinator and every worker use this same function, which is
-// what makes remote routing agree with the in-process engine.
+// by index mod shards, addresses outside route to shard 0 (so they are
+// counted somewhere deterministic). The cluster coordinator and every
+// worker use this same function, which is what makes remote routing
+// agree with the in-process engine.
 func OwnerOf(space netsim.Prefix, shards int, addr netsim.Addr) int {
 	if !space.Contains(addr) {
 		return 0
@@ -208,13 +210,29 @@ type ShardDomain struct {
 	tracer     *trace.Tracer
 }
 
+// Tracer returns the domain's span tracer (nil when tracing is off).
+func (d *ShardDomain) Tracer() *trace.Tracer { return d.tracer }
+
+// domainStreams replaces a domain's buffered output with direct sinks.
+// The engine streams a lone domain: with one shard there is no shard
+// order to restore, so output reaches the writers as the run goes.
+type domainStreams struct {
+	events gateway.EventSink
+	trace  []trace.Sink
+}
+
 // NewShardDomain builds domain i of cfg.Shards exactly as the engine
-// does: derived seed, even farm split, per-shard host names, buffered
-// event/trace sinks, shard-local safe resolver. cross receives every
+// does (except that a one-shard engine streams its output): derived
+// seed, even farm split, per-shard host names, buffered event/trace
+// sinks, shard-local safe resolver. cross receives every
 // packet the domain emits for an address another shard owns. The caller
 // (engine or cluster worker) owns epoch advancement of the domain's
 // kernel.
 func NewShardDomain(cfg ShardEngineConfig, i int, cross CrossSend) (*ShardDomain, error) {
+	return newShardDomain(cfg, i, cross, nil)
+}
+
+func newShardDomain(cfg ShardEngineConfig, i int, cross CrossSend, streams *domainStreams) (*ShardDomain, error) {
 	cfg = cfg.normalized()
 	n := cfg.Shards
 	// Golden-ratio stride keeps per-domain seeds distinct and
@@ -228,7 +246,12 @@ func NewShardDomain(cfg ShardEngineConfig, i int, cross CrossSend) (*ShardDomain
 		fc.Servers++
 	}
 	// Suffix host names per shard so spans and logs stay unambiguous.
-	fc.HostConfig.Name = fmt.Sprintf("%s-s%d", cfg.Farm.HostConfig.Name, i)
+	// A lone shard keeps the plain name: the VMM seeds its random
+	// streams from the host name, so this keeps a one-shard engine
+	// byte-identical to a farm wired by hand on one kernel.
+	if n > 1 {
+		fc.HostConfig.Name = fmt.Sprintf("%s-s%d", cfg.Farm.HostConfig.Name, i)
+	}
 	fc.Metrics = cfg.Metrics
 	if cfg.OnInfected != nil {
 		fc.OnInfected = cfg.OnInfected
@@ -241,12 +264,15 @@ func NewShardDomain(cfg ShardEngineConfig, i int, cross CrossSend) (*ShardDomain
 	d := &ShardDomain{Index: i, K: k, F: f}
 	gc := cfg.Gateway
 	gc.Metrics = cfg.Metrics
-	if cfg.EventLog != nil {
-		d.EventBuf = mem.NewArena(sinkArenaCap)
-		gc.EventSink = gateway.ArenaSink(d.EventBuf)
-	}
-	if cfg.TraceOut != nil || cfg.ChromeOut != nil {
-		var sinks []trace.Sink
+	var sinks []trace.Sink
+	if streams != nil {
+		gc.EventSink = streams.events
+		sinks = streams.trace
+	} else {
+		if cfg.EventLog != nil {
+			d.EventBuf = mem.NewArena(sinkArenaCap)
+			gc.EventSink = gateway.ArenaSink(d.EventBuf)
+		}
 		if cfg.TraceOut != nil {
 			d.TraceBuf = mem.NewArena(sinkArenaCap)
 			sinks = append(sinks, trace.JSONL(d.TraceBuf, nil))
@@ -257,6 +283,8 @@ func NewShardDomain(cfg ShardEngineConfig, i int, cross CrossSend) (*ShardDomain
 				d.ChromeRecs = append(d.ChromeRecs, rec)
 			})
 		}
+	}
+	if len(sinks) > 0 {
 		d.tracer = trace.New(sinks...)
 		gc.Tracer = d.tracer
 		f.SetTracer(d.tracer)
@@ -290,12 +318,14 @@ func NewShardDomain(cfg ShardEngineConfig, i int, cross CrossSend) (*ShardDomain
 
 	g := gateway.New(k, gc, f)
 	f.SetGateway(g)
-	space := gc.Space
-	g.SetShardHooks(func(a netsim.Addr) bool {
-		return OwnerOf(space, n, a) == i
-	}, func(now sim.Time, pkt *netsim.Packet) {
-		cross(now, OwnerOf(space, n, pkt.Dst), pkt)
-	})
+	if n > 1 {
+		space := gc.Space
+		g.SetShardHooks(func(a netsim.Addr) bool {
+			return OwnerOf(space, n, a) == i
+		}, func(now sim.Time, pkt *netsim.Packet) {
+			cross(now, OwnerOf(space, n, pkt.Dst), pkt)
+		})
+	}
 	d.G = g
 
 	if cfg.Fault != nil {
@@ -321,6 +351,11 @@ type ShardEngine struct {
 	prof    *metrics.EpochProfiler
 	envPool sync.Pool // of *crossEnv
 	closed  bool
+
+	// chrome is the streaming Chrome writer of a one-shard engine, and
+	// streamErr the first write error of its streamed sinks.
+	chrome    *trace.ChromeWriter
+	streamErr error
 
 	// epochIngress counts records Replay scheduled since the last epoch
 	// observation. Incremented in the pre-epoch hook and read/reset in
@@ -361,6 +396,10 @@ func NewShardEngine(cfg ShardEngineConfig) (*ShardEngine, error) {
 		}
 		return env
 	}
+	var streams *domainStreams
+	if cfg.Shards == 1 {
+		streams = e.streams()
+	}
 	kernels := make([]*sim.Kernel, cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
 		src := i
@@ -368,11 +407,11 @@ func NewShardEngine(cfg ShardEngineConfig) (*ShardEngine, error) {
 		// next barrier, paying the minimum internal latency. The
 		// envelope fires only during runs, after e.runner and e.domains
 		// are fully wired.
-		d, err := NewShardDomain(cfg, i, func(now sim.Time, dst int, pkt *netsim.Packet) {
+		d, err := newShardDomain(cfg, i, func(now sim.Time, dst int, pkt *netsim.Packet) {
 			env := e.envPool.Get().(*crossEnv)
 			env.dst, env.pkt = dst, pkt
 			e.runner.Send(src, dst, now.Add(e.cfg.Lookahead), env.fn)
-		})
+		}, streams)
 		if err != nil {
 			return nil, err
 		}
@@ -402,6 +441,27 @@ func NewShardEngine(cfg ShardEngineConfig) (*ShardEngine, error) {
 		})
 	}
 	return e, nil
+}
+
+// streams builds the direct sinks a one-shard engine writes through.
+func (e *ShardEngine) streams() *domainStreams {
+	noteErr := func(err error) {
+		if e.streamErr == nil {
+			e.streamErr = err
+		}
+	}
+	s := &domainStreams{}
+	if e.cfg.EventLog != nil {
+		s.events = gateway.JSONLSink(e.cfg.EventLog, noteErr)
+	}
+	if e.cfg.TraceOut != nil {
+		s.trace = append(s.trace, trace.JSONL(e.cfg.TraceOut, noteErr))
+	}
+	if e.cfg.ChromeOut != nil {
+		e.chrome = trace.NewChromeWriter(e.cfg.ChromeOut)
+		s.trace = append(s.trace, e.chrome.Sink())
+	}
+	return s
 }
 
 // Profiler returns the engine's epoch profiler (nil unless the config
@@ -518,8 +578,7 @@ func (e *ShardEngine) Replay(src telescope.Source, halt func() bool, epilogue ti
 	})
 }
 
-// GatewayStats sums the per-domain gateway counters, mirroring
-// gateway.Sharded.Stats.
+// GatewayStats sums the per-domain gateway counters.
 func (e *ShardEngine) GatewayStats() gateway.Stats {
 	var sum gateway.Stats
 	for _, d := range e.domains {
@@ -693,7 +752,8 @@ func (e *ShardEngine) RecycleAll() {
 
 // Close stops the domains' background work, finishes open spans, and
 // writes the buffered per-domain event logs and traces to the
-// configured writers in shard order. Idempotent.
+// configured writers in shard order (a one-shard engine, which streams,
+// only terminates the Chrome array). Idempotent.
 func (e *ShardEngine) Close() error {
 	if e.closed {
 		return nil
@@ -704,6 +764,9 @@ func (e *ShardEngine) Close() error {
 	e.runner.Close()
 	for _, d := range e.domains {
 		d.Close()
+	}
+	if e.streamErr != nil {
+		errs = append(errs, e.streamErr)
 	}
 	for _, d := range e.domains {
 		if d.EventBuf != nil {
@@ -719,7 +782,12 @@ func (e *ShardEngine) Close() error {
 			}
 		}
 	}
-	if e.cfg.ChromeOut != nil {
+	switch {
+	case e.chrome != nil:
+		if err := e.chrome.Close(); err != nil {
+			errs = append(errs, err)
+		}
+	case e.cfg.ChromeOut != nil:
 		if err := e.flushChrome(); err != nil {
 			errs = append(errs, err)
 		}

@@ -189,3 +189,58 @@ func TestShardEngineServerSplit(t *testing.T) {
 		t.Fatal("expected error: fewer servers than shards")
 	}
 }
+
+// TestShardEngineBindingsStayOnOwner checks the partition the gateway
+// shard hooks enforce: one compromised multi-stage guest resolves and
+// fetches its second stage and has its scans reflected, and every
+// binding that traffic creates — on the victim's shard or, through the
+// barrier, on another — lives on the domain owning its address.
+func TestShardEngineBindingsStayOnOwner(t *testing.T) {
+	gc := gateway.DefaultConfig()
+	gc.IdleTimeout = 0
+	gc.ReflectionLimit = 64
+	fc := farm.DefaultConfig()
+	fc.Servers = 4
+	fc.Profile = guest.MultiStageDNS("update.evil.example")
+	eng, err := NewShardEngine(ShardEngineConfig{Shards: 4, Seed: 3, Gateway: gc, Farm: fc})
+	if err != nil {
+		t.Fatalf("NewShardEngine: %v", err)
+	}
+	defer eng.Close()
+	pkt := netsim.TCPSyn(netsim.MustParseAddr("198.51.100.10"), netsim.MustParseAddr("10.5.7.23"),
+		40000, fc.Profile.ScanDstPort, 1)
+	pkt.Flags |= netsim.FlagPSH
+	pkt.Payload = fc.Profile.ExploitPayload(0)
+	eng.Inject(pkt)
+	eng.RunFor(3 * time.Second)
+
+	space := gc.Space
+	found, spread := 0, 0
+	for _, d := range eng.Domains() {
+		n := 0
+		for i := uint64(0); i < space.Size(); i++ {
+			a := space.Nth(i)
+			if d.G.Binding(a) == nil {
+				continue
+			}
+			n++
+			if owner := eng.Owner(a); owner != d.Index {
+				t.Errorf("%s bound on shard %d, owner is %d", a, d.Index, owner)
+			}
+		}
+		if n != d.G.NumBindings() {
+			t.Errorf("shard %d: %d bindings in space, %d in table", d.Index, n, d.G.NumBindings())
+		}
+		if n > 0 {
+			spread++
+		}
+		found += n
+	}
+	st := eng.GatewayStats()
+	if found < 2 || st.OutReflected == 0 || st.OutDNSProxied == 0 {
+		t.Fatalf("vacuous run: %d bindings, stats %+v", found, st)
+	}
+	if spread < 2 {
+		t.Errorf("no binding crossed shards: all %d bindings on one shard", found)
+	}
+}

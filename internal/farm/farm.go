@@ -235,8 +235,7 @@ func MustNew(k *sim.Kernel, cfg Config) *Farm {
 	return f
 }
 
-// SetGateway wires the gateway (or sharded gateway set) guests send
-// their traffic through.
+// SetGateway wires the gateway guests send their traffic through.
 func (f *Farm) SetGateway(g gateway.Egress) { f.gw = g }
 
 // SetTracer wires span tracing through the farm and down into every

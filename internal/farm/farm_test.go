@@ -353,44 +353,6 @@ func TestDefaultHostOverheadCounted(t *testing.T) {
 	}
 }
 
-func TestFarmBehindShardedGateway(t *testing.T) {
-	k := sim.NewKernel(21)
-	fc := DefaultConfig()
-	fc.Servers = 2
-	fc.HostConfig.MemoryBytes = 2 << 30
-	fc.Image = ImageSpec{Name: "winxp", NumPages: 8192, ResidentPages: 2048, DiskBlocks: 512, Seed: 42}
-	f := MustNew(k, fc)
-	gc := gateway.DefaultConfig()
-	gc.IdleTimeout = 0
-	gc.Policy = gateway.PolicyInternalReflect
-	gc.DetectThreshold = 0
-	gc.ReflectionLimit = 16
-	s, err := gateway.NewSharded(k, gc, f, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.SetGateway(s)
-
-	exploit := probe(scanner, victim)
-	exploit.Payload = guest.WindowsXP().ExploitPayload(0)
-	s.HandleInbound(k.Now(), exploit)
-	k.RunFor(8 * time.Second)
-
-	if f.InfectedVMs() < 2 {
-		t.Errorf("infected = %d, want contained chain across shards", f.InfectedVMs())
-	}
-	if err := s.CheckOwnership(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if s.NumBindings() != f.LiveVMs() {
-		t.Errorf("bindings %d != live VMs %d", s.NumBindings(), f.LiveVMs())
-	}
-	s.Close()
-}
-
 func TestPrepareSnapshotImages(t *testing.T) {
 	r := newRig(t, nil, nil)
 	if err := r.f.PrepareSnapshotImages("winxp-settled", 30*time.Second); err != nil {

@@ -7,8 +7,8 @@ import (
 	"potemkin/internal/netsim"
 )
 
-// TestEphemeralPacketClonedWhenQueued models the zero-copy ingest path:
-// the wire bridge hands the gateway a packet backed by a pooled frame
+// TestEphemeralPacketClonedWhenQueued models a zero-copy ingest path:
+// the producer hands the gateway a packet backed by a pooled frame
 // buffer, marked Ephemeral, and reuses the storage as soon as the
 // dispatch returns. A packet queued on a pending binding must therefore
 // be cloned — the bytes delivered to the VM later must be the ones that

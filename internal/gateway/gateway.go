@@ -98,10 +98,17 @@ type Backend interface {
 // gateway's shed mode (Config.ShedOnFull) keys off it.
 var ErrBackendFull = errors.New("backend at capacity")
 
-// Recycler is implemented by gateway frontends (Gateway and Sharded)
-// that can tear a binding down on demand. The backend calls it when it
-// loses a VM out from under a binding — a crashed server — so the
-// address is released for rebinding instead of pointing at a corpse.
+// Egress is the surface VM-originated traffic enters the gateway
+// through. The farm sends guest egress to it; perfbench and tests wrap
+// it to observe or fake the gateway.
+type Egress interface {
+	HandleOutbound(now sim.Time, pkt *netsim.Packet) Disposition
+}
+
+// Recycler is implemented by gateway frontends that can tear a binding
+// down on demand. The backend calls it when it loses a VM out from
+// under a binding — a crashed server — so the address is released for
+// rebinding instead of pointing at a corpse.
 type Recycler interface {
 	RecycleBinding(now sim.Time, addr netsim.Addr, detail string) bool
 }
@@ -296,10 +303,10 @@ type Gateway struct {
 	// shedUntil, while in the future, refuses new bindings (ShedOnFull).
 	shedUntil sim.Time
 
-	// Sharding hooks (set by Sharded; nil for a standalone gateway):
-	// owns restricts which monitored addresses this instance may bind,
-	// and reinject routes internal traffic for addresses it does not
-	// own back through the shard router.
+	// Sharding hooks (set by the shard engine; nil for a standalone
+	// gateway): owns restricts which monitored addresses this instance
+	// may bind, and reinject routes internal traffic for addresses it
+	// does not own to the owning shard.
 	owns     func(netsim.Addr) bool
 	reinject func(now sim.Time, pkt *netsim.Packet)
 
@@ -389,9 +396,9 @@ func New(k *sim.Kernel, cfg Config, backend Backend) *Gateway {
 // monitored addresses this instance may bind (reflection targets are
 // drawn from owned addresses only), and reinject routes internal
 // traffic for addresses it does not own back to the owning shard.
-// Sharded uses it for the in-process router; the parallel shard engine
-// uses it to hand cross-shard traffic to the epoch barrier. Call before
-// traffic flows; nil hooks restore standalone behaviour.
+// The shard engine uses it to hand cross-shard traffic to the epoch
+// barrier. Call before traffic flows; nil hooks restore standalone
+// behaviour.
 func (g *Gateway) SetShardHooks(owns func(netsim.Addr) bool, reinject func(now sim.Time, pkt *netsim.Packet)) {
 	g.owns = owns
 	g.reinject = reinject

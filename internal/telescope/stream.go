@@ -96,9 +96,8 @@ func SummarizeSource(src Source) (Stats, error) {
 // StreamReplayer injects a Source into a receiver over the sim kernel
 // while holding only one record in memory. Unlike Replayer (which
 // schedules every record up front), it alternates schedule-one /
-// run-to-it, so the kernel queue stays shallow and the record order is
-// identical to the wire-ingest bridge's At+RunUntil injection — the
-// loopback determinism test depends on that equivalence.
+// run-to-it, so the kernel queue stays shallow. It drives a single
+// kernel wired by hand; the facade replays through core.ReplayOver.
 type StreamReplayer struct {
 	K   *sim.Kernel
 	Src Source

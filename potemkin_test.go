@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"potemkin/internal/netsim"
 	"potemkin/internal/telescope"
 	"potemkin/internal/vmm"
 )
@@ -71,9 +72,11 @@ func TestProbeOutsideSpaceRejected(t *testing.T) {
 func TestExploitInfectsAndIsDetected(t *testing.T) {
 	var infectedAddr, detectedAddr string
 	hf := MustNew(Options{
-		Policy:     DropAll,
-		OnInfected: func(a string, gen int) { infectedAddr = a },
-		OnDetected: func(a string, n int) { detectedAddr = a },
+		Policy: DropAll,
+		Hooks: &Hooks{
+			OnInfected: func(a string, gen int) { infectedAddr = a },
+			OnDetected: func(a string, n int) { detectedAddr = a },
+		},
 	})
 	defer hf.Close()
 	if err := hf.InjectExploit("203.0.113.9", "10.5.1.2"); err != nil {
@@ -140,7 +143,10 @@ func TestTraceRoundTripThroughFacade(t *testing.T) {
 	if len(recs) == 0 {
 		t.Fatal("empty trace")
 	}
-	n := hf.ReplayTrace(recs)
+	n, err := hf.Replay(SliceSource(recs))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if n != len(recs) {
 		t.Errorf("injected %d of %d", n, len(recs))
 	}
@@ -159,7 +165,7 @@ func TestTraceRoundTripThroughFacade(t *testing.T) {
 func TestReplayEmptyTrace(t *testing.T) {
 	hf := MustNew(Options{})
 	defer hf.Close()
-	if n := hf.ReplayTrace(nil); n != 0 {
+	if n, _ := hf.Replay(SliceSource(nil)); n != 0 {
 		t.Errorf("injected %d from empty trace", n)
 	}
 }
@@ -169,7 +175,7 @@ func TestDeterminism(t *testing.T) {
 		hf := MustNew(Options{Seed: 7, IdleTimeout: 2 * time.Second})
 		defer hf.Close()
 		recs, _ := hf.GenerateTrace(30*time.Second, 100)
-		hf.ReplayTrace(recs)
+		hf.Replay(SliceSource(recs))
 		return hf.Stats()
 	}
 	a, b := run(), run()
@@ -180,7 +186,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestEgressObserved(t *testing.T) {
 	var egress []string
-	hf := MustNew(Options{Policy: ReflectSource, OnEgress: func(p string) { egress = append(egress, p) }})
+	hf := MustNew(Options{Policy: ReflectSource, Hooks: &Hooks{OnEgress: func(p string) { egress = append(egress, p) }}})
 	defer hf.Close()
 	hf.InjectProbe("203.0.113.9", "10.5.1.2", 445)
 	hf.RunFor(2 * time.Second)
@@ -201,8 +207,11 @@ func TestStatsString(t *testing.T) {
 func TestInternalsExposed(t *testing.T) {
 	hf := MustNew(Options{})
 	defer hf.Close()
-	in := hf.Internals()
-	if in.Kernel == nil || in.Gateway == nil || in.Farm == nil {
+	eng := hf.Internals().Engine
+	if eng == nil || eng.Shards() != 1 {
+		t.Fatalf("Internals.Engine = %v, want one shard", eng)
+	}
+	if d := eng.Domains()[0]; d.K == nil || d.G == nil || d.F == nil || d.Resolver == nil {
 		t.Error("internals incomplete")
 	}
 }
@@ -353,9 +362,9 @@ func TestMultiStageDNSEndToEnd(t *testing.T) {
 func TestShardedGatewayThroughFacade(t *testing.T) {
 	hf := MustNew(Options{GatewayShards: 4, IdleTimeout: -1, Policy: ReflectSource})
 	defer hf.Close()
-	in := hf.Internals()
-	if in.Gateway != nil || in.Sharded == nil || in.Sharded.Shards() != 4 {
-		t.Fatalf("internals: %+v", in)
+	eng := hf.Internals().Engine
+	if eng.Shards() != 4 {
+		t.Fatalf("engine has %d shards, want 4", eng.Shards())
 	}
 	for i := 0; i < 12; i++ {
 		hf.InjectProbe("203.0.113.9", "10.5.1."+strconv.Itoa(i+1), 445)
@@ -368,8 +377,14 @@ func TestShardedGatewayThroughFacade(t *testing.T) {
 	if st.OutboundToSource != 12 {
 		t.Errorf("replies = %d", st.OutboundToSource)
 	}
-	if err := in.Sharded.CheckOwnership(); err != nil {
-		t.Error(err)
+	// Every binding lives on the shard that owns its address.
+	for i := 0; i < 12; i++ {
+		a := netsim.MustParseAddr("10.5.1." + strconv.Itoa(i+1))
+		for _, d := range eng.Domains() {
+			if bound, owner := d.G.Binding(a) != nil, eng.Owner(a) == d.Index; bound != owner {
+				t.Errorf("%s: bound on shard %d = %v, owner is %d", a, d.Index, bound, eng.Owner(a))
+			}
+		}
 	}
 }
 
@@ -398,7 +413,7 @@ func TestFullBootBaselineThroughFacade(t *testing.T) {
 	defer hf.Close()
 	var gotReply bool
 	hf2 := MustNew(Options{FullBoot: true, Policy: ReflectSource,
-		OnEgress: func(string) { gotReply = true }})
+		Hooks: &Hooks{OnEgress: func(string) { gotReply = true }}})
 	defer hf2.Close()
 	hf2.InjectProbe("203.0.113.9", "10.5.1.2", 445)
 	hf2.RunFor(2 * time.Second)

@@ -40,13 +40,12 @@ type Snapshot struct {
 
 	// StagesMs carries the tracer's per-stage latency summaries
 	// (binding, spawn, place, clone, active, pending-wait, …), present
-	// only when tracing is on. encoding/json sorts map keys, so the
-	// rendered snapshot is deterministic.
+	// only when tracing is on with one gateway shard. encoding/json
+	// sorts map keys, so the rendered snapshot is deterministic.
 	StagesMs map[string]LatencySummary `json:"stages_ms,omitempty"`
 
 	// Ingest carries wire-listener loss accounting, present only when
-	// live wire ingest is attached (Options.Wire via StartWire, or a
-	// deprecated WireBridge pumping a listener).
+	// live wire ingest is attached (Options.Wire via StartWire).
 	Ingest *IngestSummary `json:"ingest,omitempty"`
 }
 
@@ -92,79 +91,18 @@ func summarize(h *metrics.Histogram) LatencySummary {
 	}
 }
 
-// ingestSummary builds the wire-ingest view for a snapshot: the
-// StartWire server when Options.Wire is live (either engine), else a
-// deprecated WireBridge's listener, else nil. Every counter involved is
-// atomic, so this is safe mid-serve.
-func (hf *Honeyfarm) ingestSummary() *IngestSummary {
-	if w := hf.wire; w != nil {
-		st := w.Stats()
-		return &st.Ingest
-	}
-	if br := hf.bridge; br != nil {
-		if ls, ok := br.ListenerStats(); ok {
-			return &IngestSummary{
-				Received:    ls.Received,
-				Bytes:       ls.Bytes,
-				FrameErrors: ls.FrameErrors,
-				Dropped:     ls.Dropped,
-				SeqGaps:     ls.SeqGaps,
-				Enqueued:    ls.Enqueued,
-				Delivered:   br.Delivered,
-				Clamped:     br.Clamped,
-				QueueDepth:  ls.QueueDepth,
-				QueueHWM:    ls.QueueHWM,
-			}
-		}
-	}
-	return nil
-}
-
 // Snapshot captures the current state.
 func (hf *Honeyfarm) Snapshot() Snapshot {
-	if hf.eng != nil {
-		gs := hf.eng.GatewayStats()
-		fs := hf.eng.FarmStats()
-		clone := hf.eng.CloneLatency()
-		// Per-stage tracer histograms are shard-private in Parallel
-		// mode, so OpenSpans/StagesMs stay empty here.
-		s := Snapshot{
-			TSeconds:         hf.eng.Now().Seconds(),
-			LiveVMs:          hf.eng.LiveVMs(),
-			BindingsLive:     hf.eng.NumBindings(),
-			PendingQueued:    gs.PendingQueued,
-			PeakVMs:          fs.PeakLiveVMs,
-			InfectedVMs:      hf.eng.InfectedVMs(),
-			BindingsCreated:  gs.BindingsCreated,
-			BindingsRecycled: gs.BindingsRecycled,
-			InboundPackets:   gs.InboundPackets,
-			DeliveredToVM:    gs.DeliveredToVM,
-			SpawnFailures:    gs.SpawnFailures + fs.SpawnFailures,
-			SpawnRetries:     gs.SpawnRetries + fs.SpawnRetries,
-			BindingsShed:     gs.BindingsShed,
-			DetectedInfected: gs.DetectedInfected,
-			MemoryInUseBytes: hf.eng.MemoryInUse(),
-			CloneMs:          summarize(&clone),
-		}
-		s.Ingest = hf.ingestSummary()
-		return s
-	}
-
-	gs := hf.g.Stats()
-	fs := hf.f.Stats()
-
-	var clone metrics.Histogram
-	for _, h := range hf.f.Hosts() {
-		clone.Merge(&h.CloneLatency)
-	}
-
+	gs := hf.eng.GatewayStats()
+	fs := hf.eng.FarmStats()
+	clone := hf.eng.CloneLatency()
 	s := Snapshot{
-		TSeconds:         hf.k.Now().Seconds(),
-		LiveVMs:          hf.f.LiveVMs(),
-		BindingsLive:     hf.g.NumBindings(),
+		TSeconds:         hf.eng.Now().Seconds(),
+		LiveVMs:          hf.eng.LiveVMs(),
+		BindingsLive:     hf.eng.NumBindings(),
 		PendingQueued:    gs.PendingQueued,
 		PeakVMs:          fs.PeakLiveVMs,
-		InfectedVMs:      hf.f.InfectedVMs(),
+		InfectedVMs:      hf.eng.InfectedVMs(),
 		BindingsCreated:  gs.BindingsCreated,
 		BindingsRecycled: gs.BindingsRecycled,
 		InboundPackets:   gs.InboundPackets,
@@ -173,10 +111,12 @@ func (hf *Honeyfarm) Snapshot() Snapshot {
 		SpawnRetries:     gs.SpawnRetries + fs.SpawnRetries,
 		BindingsShed:     gs.BindingsShed,
 		DetectedInfected: gs.DetectedInfected,
-		MemoryInUseBytes: hf.f.MemoryInUse(),
+		MemoryInUseBytes: hf.eng.MemoryInUse(),
 		CloneMs:          summarize(&clone),
 	}
-	if tr := hf.tracer; tr != nil {
+	// Tracer is nil with several shards (their tracers are private), so
+	// OpenSpans/StagesMs stay empty there.
+	if tr := hf.Tracer(); tr != nil {
 		s.OpenSpans = tr.OpenSpans()
 		names := tr.StageNames()
 		if len(names) > 0 {
@@ -186,7 +126,11 @@ func (hf *Honeyfarm) Snapshot() Snapshot {
 			}
 		}
 	}
-	s.Ingest = hf.ingestSummary()
+	// Every ingest counter is atomic, so this is safe mid-serve.
+	if hf.wire != nil {
+		st := hf.wire.Stats()
+		s.Ingest = &st.Ingest
+	}
 	return s
 }
 

@@ -279,9 +279,9 @@ func TestWireParallelMultiShardListener(t *testing.T) {
 	}
 }
 
-// TestWireSequentialOptionsAPI covers the unified API on the sequential
-// engine: Options.Wire + StartWire/Serve replaces the WireBridge pump
-// loop with identical semantics.
+// TestWireSequentialOptionsAPI covers the unified API without Parallel:
+// Options.Wire + StartWire/Serve drives the farm to the same state as an
+// in-process replay.
 func TestWireSequentialOptionsAPI(t *testing.T) {
 	recs := wireTestTrace(t)
 
