@@ -2,15 +2,18 @@ package main
 
 // Cluster mode: -coordinator runs the epoch barrier and feed driver;
 // -worker hosts a subset of the shard domains. Both sides are launched
-// with the same scenario flags (SPMD) and verify agreement during the
-// handshake, so a worker started with a different seed or policy is
-// rejected instead of silently diverging. The merged results are
-// byte-identical to a single-process run of the same scenario.
+// with the same scenario flags (SPMD), build their engine from the
+// same potemkin.Options through potemkin.EngineConfig, and verify
+// agreement during the handshake, so a worker started with a different
+// seed or policy is rejected instead of silently diverging. The merged
+// results are byte-identical to a single-process run of the same
+// Options.
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -21,99 +24,20 @@ import (
 	"potemkin"
 	"potemkin/internal/cluster"
 	"potemkin/internal/core"
-	"potemkin/internal/farm"
-	"potemkin/internal/gateway"
-	"potemkin/internal/guest"
-	"potemkin/internal/ingest"
-	"potemkin/internal/metrics"
-	"potemkin/internal/netsim"
-	"potemkin/internal/scenario"
 	"potemkin/internal/score"
 	"potemkin/internal/telescope"
 )
 
-// clusterScenario is everything both cluster roles must agree on.
-type clusterScenario struct {
-	Space    string
-	Servers  int
-	Shards   int
-	Parallel bool // workers run their domains on goroutines
-	Policy   string
-	Idle     time.Duration
-	Profile  *guest.Profile
-	Seed     uint64
-	// Campaign, when non-nil, runs a deterministic attacker scenario
-	// (-scenario): it derives the guest profile and lateral-movement
-	// topology, the coordinator feeds its compiled packet plan, and the
-	// run is scored into an effectiveness scorecard. Both roles compile
-	// the same plan from the same flags (SPMD).
-	Campaign *potemkin.Scenario
-}
-
-// compile builds the campaign's packet plan. Deterministic: both roles,
-// and every retry, compile identical plans from the same scenario.
-func (sc clusterScenario) compile() (*scenario.Plan, error) {
-	space, err := netsim.ParsePrefix(sc.Space)
-	if err != nil {
-		return nil, fmt.Errorf("invalid -space %q: %v", sc.Space, err)
-	}
-	return scenario.Compile(sc.Campaign, sc.Seed, space)
-}
-
-// engineConfig builds the shard engine configuration exactly as the
-// potemkin facade would for the same Options, so cluster results stay
-// byte-comparable with single-process runs.
-func (sc clusterScenario) engineConfig() (core.ShardEngineConfig, error) {
-	space, err := netsim.ParsePrefix(sc.Space)
-	if err != nil {
-		return core.ShardEngineConfig{}, fmt.Errorf("invalid -space %q: %v", sc.Space, err)
-	}
-	fc := farm.DefaultConfig()
-	fc.Servers = sc.Servers
-	fc.Profile = sc.Profile
-	gc := gateway.DefaultConfig()
-	gc.Space = space
-	switch sc.Policy {
-	case "open":
-		gc.Policy = gateway.PolicyOpen
-	case "drop-all":
-		gc.Policy = gateway.PolicyDropAll
-	case "reflect-source":
-		gc.Policy = gateway.PolicyReflectSource
-	case "internal-reflect":
-		gc.Policy = gateway.PolicyInternalReflect
-	default:
-		return core.ShardEngineConfig{}, fmt.Errorf("unknown policy %q", sc.Policy)
-	}
-	gc.IdleTimeout = sc.Idle // 0 disables, matching Options.IdleTimeout < 0
-	if sc.Campaign != nil {
-		// Match the facade's scenario wiring exactly: the campaign
-		// derives the guest personality and the P2P target picker.
-		plan, err := sc.compile()
-		if err != nil {
-			return core.ShardEngineConfig{}, err
-		}
-		fc.Profile = plan.Profile
-		fc.PickTargetFor = plan.PickTargetFor()
-	}
-	return core.ShardEngineConfig{
-		Shards:   sc.Shards,
-		Parallel: sc.Parallel,
-		Seed:     sc.Seed,
-		Gateway:  gc,
-		Farm:     fc,
-	}, nil
-}
-
-// tag canonically renders the scenario; coordinator and workers must
-// produce the same string or the handshake fails.
-func (sc clusterScenario) tag() string {
+// clusterTag canonically renders the run's configuration; coordinator
+// and workers must produce the same string or the handshake fails.
+func clusterTag(opts potemkin.Options, ec core.ShardEngineConfig) string {
 	t := fmt.Sprintf("space=%s servers=%d shards=%d policy=%s idle=%s guest=%s seed=%d",
-		sc.Space, sc.Servers, sc.Shards, sc.Policy, sc.Idle, sc.Profile.Name, sc.Seed)
-	if sc.Campaign != nil {
+		opts.MonitoredSpace, opts.Servers, ec.Shards, opts.Policy, ec.Gateway.IdleTimeout,
+		ec.Farm.Profile.Name, ec.Seed)
+	if sc := opts.Scenario; sc != nil {
 		// The content hash catches roles launched with divergent scenario
 		// files that happen to share a name.
-		t += fmt.Sprintf(" scenario=%s#%016x", sc.Campaign.Name, sc.Campaign.Hash())
+		t += fmt.Sprintf(" scenario=%s#%016x", sc.Name, sc.Hash())
 	}
 	return t
 }
@@ -125,7 +49,12 @@ func clusterLogf(format string, args ...any) {
 }
 
 type coordinatorRun struct {
-	scenario clusterScenario
+	// opts is the run's configuration, the same Options a
+	// single-process run builds from; EventLog and TraceOut receive
+	// the workers' merged output.
+	opts potemkin.Options
+	// epochLog receives the coordinator's epoch timeline.
+	epochLog io.Writer
 	addr     string
 	workers  int
 
@@ -133,19 +62,9 @@ type coordinatorRun struct {
 	heartbeatTimeout time.Duration
 	recoveryWait     time.Duration
 
-	// Feed selection (mirrors the single-process modes minus -listen).
-	traceFile string
-	pcapFile  string
-	duration  time.Duration
-	rate      float64
-
-	eventLog *os.File
-	traceOut *os.File
-	epochLog *os.File
-	jsonOut  bool
-	snapOut  string
-	// scorecardOut receives the campaign scorecard (JSON) when the run
-	// carries a -scenario.
+	feed         feedFlags
+	jsonOut      bool
+	snapOut      string
 	scorecardOut string
 	// debugAddr serves the farm-wide /metrics and /cluster health views
 	// (plus expvar/pprof) while the run is live.
@@ -157,39 +76,23 @@ type coordinatorRun struct {
 // epoch boundary and still merges and flushes everything collected so
 // far — same graceful-flush contract as single-process mode.
 func runClusterCoordinator(r coordinatorRun) int {
-	ec, err := r.scenario.engineConfig()
+	// With Metrics (-debug-addr) or a scenario the registry is on, and
+	// it turns on worker-side telemetry too (the assign message carries
+	// the flag): heartbeats piggyback the snapshots the farm-wide
+	// /metrics merge, and the scenario's scorecard, are built from.
+	ec, plan, err := potemkin.EngineConfig(r.opts)
 	if err != nil {
 		clusterLogf("%v", err)
 		return 1
 	}
-	if r.eventLog != nil {
-		ec.EventLog = r.eventLog
-	}
-	if r.traceOut != nil {
-		ec.TraceOut = r.traceOut
-	}
-	if r.epochLog != nil {
-		ec.EpochLog = r.epochLog
-	}
-	var plan *scenario.Plan
-	if r.scenario.Campaign != nil {
-		plan, err = r.scenario.compile()
-		if err != nil {
-			clusterLogf("%v", err)
-			return 1
-		}
-	}
-	if r.debugAddr != "" || r.epochLog != nil || plan != nil {
-		// The registry turns on worker-side telemetry too (the assign
-		// message carries the flag); heartbeats piggyback the snapshots
-		// the farm-wide /metrics merge is built from. A scenario run
-		// needs it unconditionally: the scorecard is computed from the
-		// workers' merged final snapshots.
-		ec.Metrics = metrics.NewRegistry()
-	}
+	// The timeline profiles the coordinator's own barriers, with or
+	// without -parallel, so it bypasses Options.EpochLog (which
+	// requires Parallel).
+	ec.EpochLog = r.epochLog
+	tag := clusterTag(r.opts, ec)
 	c, err := cluster.New(cluster.Config{
 		Engine:            ec,
-		ConfigTag:         r.scenario.tag(),
+		ConfigTag:         tag,
 		ListenAddr:        r.addr,
 		Workers:           r.workers,
 		HeartbeatInterval: r.heartbeat,
@@ -208,7 +111,7 @@ func runClusterCoordinator(r coordinatorRun) int {
 		return 1
 	}
 	fmt.Printf("coordinator on %s: %d shards across %d workers, scenario %q\n",
-		c.Addr(), r.scenario.Shards, r.workers, r.scenario.tag())
+		c.Addr(), ec.Shards, r.workers, tag)
 	if r.debugAddr != "" {
 		// Both handlers read only atomics published by the driver and
 		// read loops, so serving them from HTTP goroutines mid-run is
@@ -243,58 +146,28 @@ func runClusterCoordinator(r coordinatorRun) int {
 	}
 	fmt.Printf("workers ready; starting feed\n")
 
-	var src telescope.Source
 	// The feed epilogue: how long the farm keeps simulating after the
 	// last packet. Scenario runs use the campaign's settle window so the
 	// scorecard sees the same horizon as a facade run.
 	epilogue := time.Millisecond
-	switch {
-	case plan != nil:
-		src = &telescope.SliceSource{Recs: plan.Records}
+	var src telescope.Source
+	if plan != nil {
+		src = potemkin.SliceSource(plan.Records)
 		epilogue = plan.Settle
 		fmt.Printf("scenario %q: replaying %d campaign packets, settling %v\n",
-			r.scenario.Campaign.Name, len(plan.Records), plan.Settle)
-	case r.traceFile != "":
-		f, err := os.Open(r.traceFile)
-		if err != nil {
+			r.opts.Scenario.Name, len(plan.Records), plan.Settle)
+	} else {
+		synth := func(d time.Duration, pps float64) ([]potemkin.TraceRecord, error) {
+			g := telescope.DefaultGenConfig()
+			g.Space, g.Duration, g.Rate, g.Seed = ec.Gateway.Space, d, pps, ec.Seed
+			return telescope.Generate(g)
+		}
+		var closeSrc func()
+		if src, closeSrc, err = r.feed.open(synth); err != nil {
 			clusterLogf("%v", err)
 			return 1
 		}
-		defer f.Close()
-		tr, err := telescope.NewReader(f)
-		if err != nil {
-			clusterLogf("reading %s: %v", r.traceFile, err)
-			return 1
-		}
-		src = tr
-		fmt.Printf("streaming replay from %s\n", r.traceFile)
-	case r.pcapFile != "":
-		f, err := os.Open(r.pcapFile)
-		if err != nil {
-			clusterLogf("%v", err)
-			return 1
-		}
-		defer f.Close()
-		ps, err := ingest.NewPcapSource(f)
-		if err != nil {
-			clusterLogf("reading %s: %v", r.pcapFile, err)
-			return 1
-		}
-		src = ps
-		fmt.Printf("streaming replay from %s\n", r.pcapFile)
-	default:
-		gcfg := telescope.DefaultGenConfig()
-		gcfg.Space = ec.Gateway.Space
-		gcfg.Duration = r.duration
-		gcfg.Rate = r.rate
-		gcfg.Seed = r.scenario.Seed
-		recs, err := telescope.Generate(gcfg)
-		if err != nil {
-			clusterLogf("%v", err)
-			return 1
-		}
-		fmt.Printf("synthesized %d packets over %v at %.0f pps\n", len(recs), r.duration, r.rate)
-		src = &telescope.SliceSource{Recs: recs}
+		defer closeSrc()
 	}
 
 	injected, rerr := c.Replay(src, interrupted.Load, epilogue)
@@ -308,11 +181,11 @@ func runClusterCoordinator(r coordinatorRun) int {
 	}
 	// Flush collected output even when the run degraded: partial
 	// results are the whole point of the clean-degrade path.
-	if r.eventLog != nil {
-		r.eventLog.Write(res.Events)
+	if ec.EventLog != nil {
+		ec.EventLog.Write(res.Events)
 	}
-	if r.traceOut != nil {
-		r.traceOut.Write(res.Trace)
+	if ec.TraceOut != nil {
+		ec.TraceOut.Write(res.Trace)
 	}
 	exit := 0
 	if rerr != nil {
@@ -329,7 +202,7 @@ func runClusterCoordinator(r coordinatorRun) int {
 		// The merged worker snapshots carry the same counters a single
 		// process would have accumulated, so this card is byte-identical
 		// to the facade's for the same scenario, seed, and shard count.
-		card := score.Compute(plan.Facts(r.scenario.Policy), res.Metrics)
+		card := score.Compute(plan.Facts(r.opts.Policy.String()), res.Metrics)
 		if err := emitScorecard(card, r.scorecardOut, r.jsonOut); err != nil {
 			clusterLogf("%v", err)
 			exit = 1
@@ -337,27 +210,14 @@ func runClusterCoordinator(r coordinatorRun) int {
 	}
 
 	st := clusterStats(res)
+	note := fmt.Sprintf(" (%d recoveries)", c.Recoveries())
+	if err := printReport(st, injected, r.opts.Servers, note, r.jsonOut); err != nil {
+		clusterLogf("%v", err)
+		return 1
+	}
 	if r.jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(st); err != nil {
-			clusterLogf("%v", err)
-			return 1
-		}
 		return exit
 	}
-	fmt.Printf("\nfinal after %v simulated (%d recoveries):\n", st.Now.Truncate(time.Millisecond), c.Recoveries())
-	fmt.Printf("  injected packets      %d\n", injected)
-	fmt.Printf("  delivered to VMs      %d\n", st.DeliveredToVM)
-	fmt.Printf("  bindings created      %d\n", st.BindingsCreated)
-	fmt.Printf("  bindings recycled     %d\n", st.BindingsRecycled)
-	fmt.Printf("  peak live VMs         %d\n", st.PeakVMs)
-	fmt.Printf("  live VMs now          %d\n", st.LiveVMs)
-	fmt.Printf("  infected VMs          %d (detector flagged %d)\n", st.InfectedVMs, st.DetectedInfected)
-	fmt.Printf("  outbound: to-source=%d dns=%d reflected=%d dropped=%d\n",
-		st.OutboundToSource, st.DNSProxied, st.OutboundReflected, st.OutboundDropped)
-	fmt.Printf("  spawn failures        %d\n", st.SpawnFailures)
-	fmt.Printf("  farm memory in use    %d MiB across %d servers\n", st.MemoryInUse>>20, r.scenario.Servers)
 	if r.snapOut != "" {
 		b, err := json.MarshalIndent(st, "", "  ")
 		if err == nil {
@@ -400,8 +260,8 @@ func clusterStats(res *cluster.Results) potemkin.Stats {
 // deferred to the coordinator (which owns the run's lifecycle and the
 // flush of everything this worker has buffered); a second one forces
 // exit.
-func runClusterWorker(scenario clusterScenario, addr, name string, heartbeat time.Duration) int {
-	ec, err := scenario.engineConfig()
+func runClusterWorker(opts potemkin.Options, addr, name string, heartbeat time.Duration) int {
+	ec, _, err := potemkin.EngineConfig(opts)
 	if err != nil {
 		clusterLogf("%v", err)
 		return 1
@@ -421,7 +281,7 @@ func runClusterWorker(scenario clusterScenario, addr, name string, heartbeat tim
 	err = cluster.RunWorker(cluster.WorkerConfig{
 		Addr:              addr,
 		Engine:            ec,
-		ConfigTag:         scenario.tag(),
+		ConfigTag:         clusterTag(opts, ec),
 		Name:              name,
 		HeartbeatInterval: heartbeat,
 		// Die as abruptly as a SIGKILL: the whole point of the injected

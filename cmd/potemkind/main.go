@@ -75,6 +75,7 @@ import (
 	"expvar"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux
 	"os"
@@ -263,10 +264,10 @@ func main() {
 			opts.Scenario = campaign
 		}
 	}
-	if !clusterMode {
-		if err := opts.Validate(); err != nil {
-			badFlags("%v", err)
-		}
+	// Every mode, cluster roles included, runs on these Options, so
+	// they all pass the same validation.
+	if err := opts.Validate(); err != nil {
+		badFlags("%v", err)
 	}
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -288,113 +289,46 @@ func main() {
 		fmt.Printf("loaded guest personality %q from %s\n", p.Name, *profileF)
 	}
 
-	// Cluster roles bypass the in-process facade: the coordinator owns
-	// the feed, barrier, and merged output; workers host shard domains.
-	if clusterMode {
-		prof := opts.GuestProfile
-		if prof == nil {
-			switch *guestN {
-			case "winxp":
-				prof = guest.WindowsXP()
-			case "sqlserver":
-				prof = guest.SQLServer()
-			case "linux":
-				prof = guest.LinuxServer()
-			}
-		}
-		sc := clusterScenario{
-			Space: *space, Servers: *servers, Shards: *shards,
-			Parallel: *parallel, Policy: *policy, Idle: *idle,
-			Profile: prof, Seed: *seed, Campaign: campaign,
-		}
-		if *workerAddr != "" {
-			os.Exit(runClusterWorker(sc, *workerAddr, *workerName, *heartbeat))
-		}
-		run := coordinatorRun{
-			scenario: sc, addr: *coordAddr, workers: *workersN,
-			heartbeat: *heartbeat, heartbeatTimeout: *hbTimeout, recoveryWait: *recWait,
-			traceFile: *traceF, pcapFile: *pcapF, duration: *duration, rate: *rate,
-			jsonOut: *jsonOut, snapOut: *snapOut, debugAddr: *debug,
-			scorecardOut: *scoreOut,
-		}
-		if *eventLog != "" {
-			f, err := os.Create(*eventLog)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			run.eventLog = f
-		}
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			run.traceOut = f
-		}
-		if *epochLog != "" {
-			f, err := os.Create(*epochLog)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			run.epochLog = f
-		}
-		code := runClusterCoordinator(run)
-		if run.eventLog != nil {
-			run.eventLog.Close()
-		}
-		if run.traceOut != nil {
-			run.traceOut.Close()
-		}
-		if run.epochLog != nil {
-			run.epochLog.Close()
-		}
-		os.Exit(code)
-	}
-	opts.Hooks = &potemkin.Hooks{OnDetected: func(addr string, n int) {
-		fmt.Printf("  !! scan detector: VM %s attempted %d distinct targets\n", addr, n)
-	}}
-	if *eventLog != "" {
-		f, err := os.Create(*eventLog)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer f.Close()
-		opts.EventLog = f
-	}
 	opts.CaptureDir = *capture
 	opts.CapturePcap = *capPcap
 	opts.CheckpointDir = *ckptDir
-	// Trace files are registered for closing before the honeyfarm so the
-	// deferred hf.Close() (which flushes open spans and terminates the
-	// Chrome array) runs first.
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer f.Close()
-		opts.TraceOut = f
-	}
-	if *traceChr != "" {
-		f, err := os.Create(*traceChr)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer f.Close()
-		opts.TraceChrome = f
-	}
-	if *epochLog != "" {
-		f, err := os.Create(*epochLog)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer f.Close()
-		opts.EpochLog = f
-	}
+	// Output files close after the honeyfarm or the coordinator has
+	// flushed into them: the deferred hf.Close, registered later, runs
+	// first and finishes open spans and the Chrome array.
+	var out outFiles
+	defer out.close()
+	opts.EventLog = out.create(*eventLog)
+	opts.TraceOut = out.create(*traceOut)
+	opts.TraceChrome = out.create(*traceChr)
+	epochW := out.create(*epochLog)
 	// The live /metrics scrape needs the telemetry registry; it costs
 	// one atomic add per instrumented event, so turn it on whenever the
 	// debug endpoint (its only consumer here) is requested.
 	opts.Metrics = *debug != ""
+	feed := feedFlags{trace: *traceF, pcap: *pcapF, duration: *duration, rate: *rate}
+
+	// Cluster roles run on the same Options without the in-process
+	// facade: the coordinator owns the feed, barrier, and merged output;
+	// workers host shard domains.
+	if clusterMode {
+		code := 0
+		if *workerAddr != "" {
+			code = runClusterWorker(opts, *workerAddr, *workerName, *heartbeat)
+		} else {
+			code = runClusterCoordinator(coordinatorRun{
+				opts: opts, epochLog: epochW, addr: *coordAddr, workers: *workersN,
+				heartbeat: *heartbeat, heartbeatTimeout: *hbTimeout, recoveryWait: *recWait,
+				feed: feed, jsonOut: *jsonOut, snapOut: *snapOut, debugAddr: *debug,
+				scorecardOut: *scoreOut,
+			})
+		}
+		out.close()
+		os.Exit(code)
+	}
+	opts.EpochLog = epochW
+	opts.Hooks = &potemkin.Hooks{OnDetected: func(addr string, n int) {
+		fmt.Printf("  !! scan detector: VM %s attempted %d distinct targets\n", addr, n)
+	}}
 
 	hf, err := potemkin.New(opts)
 	if err != nil {
@@ -515,68 +449,28 @@ func main() {
 		}
 		injected = ws.Injected
 		wireStats = &ws
-	case *traceF != "" || *pcapF != "":
-		name := *traceF
-		var src telescope.Source
-		f, err := os.Open(nameOr(*traceF, *pcapF))
+	default:
+		src, closeSrc, err := feed.open(hf.GenerateTrace)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		defer f.Close()
-		if *pcapF != "" {
-			name = *pcapF
-			ps, err := ingest.NewPcapSource(f)
-			if err != nil {
-				fatalf("reading %s: %v", name, err)
-			}
-			src = ps
-		} else {
-			tr, err := telescope.NewReader(f)
-			if err != nil {
-				fatalf("reading %s: %v", name, err)
-			}
-			src = tr
-		}
-		fmt.Printf("streaming replay from %s\n", name)
+		defer closeSrc()
 		injected, err = hf.Replay(src, potemkin.WithHalt(halt))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "potemkind: replay: %v\n", err)
 		}
-	default:
-		recs, err := hf.GenerateTrace(*duration, *rate)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("synthesized %d packets over %v at %.0f pps\n", len(recs), *duration, *rate)
-		injected, _ = hf.Replay(potemkin.SliceSource(recs), potemkin.WithHalt(halt))
 	}
 	if interrupted.Load() {
 		fmt.Println("\ninterrupted: flushing writers and reporting partial results")
 	}
 	publishSnap()
 
-	st := hf.Stats()
+	if err := printReport(hf.Stats(), injected, opts.Servers, "", *jsonOut); err != nil {
+		fatalf("%v", err)
+	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(st); err != nil {
-			fatalf("%v", err)
-		}
 		return
 	}
-	fmt.Printf("\nfinal after %v simulated:\n", st.Now.Truncate(time.Millisecond))
-	fmt.Printf("  injected packets      %d\n", injected)
-	fmt.Printf("  delivered to VMs      %d\n", st.DeliveredToVM)
-	fmt.Printf("  bindings created      %d\n", st.BindingsCreated)
-	fmt.Printf("  bindings recycled     %d\n", st.BindingsRecycled)
-	fmt.Printf("  peak live VMs         %d\n", st.PeakVMs)
-	fmt.Printf("  live VMs now          %d\n", st.LiveVMs)
-	fmt.Printf("  infected VMs          %d (detector flagged %d)\n", st.InfectedVMs, st.DetectedInfected)
-	fmt.Printf("  outbound: to-source=%d dns=%d reflected=%d dropped=%d\n",
-		st.OutboundToSource, st.DNSProxied, st.OutboundReflected, st.OutboundDropped)
-	fmt.Printf("  spawn failures        %d\n", st.SpawnFailures)
-	fmt.Printf("  farm memory in use    %d MiB across %d servers\n", st.MemoryInUse>>20, *servers)
-
 	if wireStats != nil {
 		ig := wireStats.Ingest
 		tab := metrics.NewTable("\nwire ingest",
@@ -609,6 +503,92 @@ func main() {
 			fatalf("%v", err)
 		}
 		fmt.Printf("\n[snapshot] %s\n", *snapOut)
+	}
+}
+
+// feedFlags selects the replay feed of a single-process or coordinator
+// run: -trace, -pcap, or a trace synthesized for -duration at -rate.
+type feedFlags struct {
+	trace, pcap string
+	duration    time.Duration
+	rate        float64
+}
+
+// open opens the feed and announces it on stdout; synth generates the
+// synthesized trace. The returned func closes the feed's file.
+func (ff feedFlags) open(synth func(time.Duration, float64) ([]potemkin.TraceRecord, error)) (telescope.Source, func(), error) {
+	if ff.trace == "" && ff.pcap == "" {
+		recs, err := synth(ff.duration, ff.rate)
+		if err != nil {
+			return nil, nil, err
+		}
+		fmt.Printf("synthesized %d packets over %v at %.0f pps\n", len(recs), ff.duration, ff.rate)
+		return potemkin.SliceSource(recs), func() {}, nil
+	}
+	name := nameOr(ff.trace, ff.pcap)
+	f, err := os.Open(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	var src telescope.Source
+	if ff.pcap != "" {
+		src, err = ingest.NewPcapSource(f)
+	} else {
+		src, err = telescope.NewReader(f)
+	}
+	if err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("reading %s: %v", name, err)
+	}
+	fmt.Printf("streaming replay from %s\n", name)
+	return src, func() { f.Close() }, nil
+}
+
+// printReport prints a run's final Stats: as JSON on stdout under
+// -json, else as the summary table, with note after the simulated
+// time. Single-process and coordinator runs share it, so their output
+// is directly comparable.
+func printReport(st potemkin.Stats, injected, servers int, note string, jsonOut bool) error {
+	if jsonOut {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		return enc.Encode(st)
+	}
+	fmt.Printf("\nfinal after %v simulated%s:\n", st.Now.Truncate(time.Millisecond), note)
+	fmt.Printf("  injected packets      %d\n", injected)
+	fmt.Printf("  delivered to VMs      %d\n", st.DeliveredToVM)
+	fmt.Printf("  bindings created      %d\n", st.BindingsCreated)
+	fmt.Printf("  bindings recycled     %d\n", st.BindingsRecycled)
+	fmt.Printf("  peak live VMs         %d\n", st.PeakVMs)
+	fmt.Printf("  live VMs now          %d\n", st.LiveVMs)
+	fmt.Printf("  infected VMs          %d (detector flagged %d)\n", st.InfectedVMs, st.DetectedInfected)
+	fmt.Printf("  outbound: to-source=%d dns=%d reflected=%d dropped=%d\n",
+		st.OutboundToSource, st.DNSProxied, st.OutboundReflected, st.OutboundDropped)
+	fmt.Printf("  spawn failures        %d\n", st.SpawnFailures)
+	fmt.Printf("  farm memory in use    %d MiB across %d servers\n", st.MemoryInUse>>20, servers)
+	return nil
+}
+
+// outFiles are the run's output files.
+type outFiles []*os.File
+
+// create opens path as an output file; "" yields a nil writer.
+func (o *outFiles) create(path string) io.Writer {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	*o = append(*o, f)
+	return f
+}
+
+// close closes every file create opened.
+func (o *outFiles) close() {
+	for _, f := range *o {
+		f.Close()
 	}
 }
 

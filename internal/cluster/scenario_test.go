@@ -8,10 +8,6 @@ import (
 
 	"potemkin"
 	"potemkin/internal/core"
-	"potemkin/internal/farm"
-	"potemkin/internal/gateway"
-	"potemkin/internal/metrics"
-	"potemkin/internal/netsim"
 	"potemkin/internal/scenario"
 	"potemkin/internal/score"
 	"potemkin/internal/telescope"
@@ -22,33 +18,34 @@ const (
 	scenarioSpace = "10.5.0.0/22"
 )
 
-// scenarioEngineConfig mirrors the facade's scenario wiring (and
-// potemkind's cluster engineConfig) for one campaign, so the cluster
-// run below is configured exactly as the facade oracle.
-func scenarioEngineConfig(t *testing.T, sc *scenario.Scenario) (core.ShardEngineConfig, *scenario.Plan) {
+// scenarioOptions is the facade configuration of one campaign run.
+func scenarioOptions(t *testing.T, name string) potemkin.Options {
 	t.Helper()
-	space, err := netsim.ParsePrefix(scenarioSpace)
+	campaign, err := potemkin.LoadScenario(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := scenario.Compile(sc, scenarioSeed, space)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
+	return potemkin.Options{
+		Seed:           scenarioSeed,
+		MonitoredSpace: scenarioSpace,
+		Servers:        4,
+		GatewayShards:  2,
+		Parallel:       true,
+		Policy:         potemkin.InternalReflect,
+		Scenario:       campaign,
 	}
-	gc := gateway.DefaultConfig()
-	gc.Space = space
-	gc.Policy = gateway.PolicyInternalReflect
-	fc := farm.DefaultConfig()
-	fc.Servers = 4
-	fc.Profile = plan.Profile
-	fc.PickTargetFor = plan.PickTargetFor()
-	return core.ShardEngineConfig{
-		Shards:   2,
-		Parallel: true,
-		Seed:     scenarioSeed,
-		Gateway:  gc,
-		Farm:     fc,
-	}, plan
+}
+
+// scenarioEngineConfig builds the engine config and plan through the
+// facade's own translation, from the same Options the facade oracle
+// runs, so the cluster run below cannot drift from it.
+func scenarioEngineConfig(t *testing.T, opts potemkin.Options) (core.ShardEngineConfig, *scenario.Plan) {
+	t.Helper()
+	ec, plan, err := potemkin.EngineConfig(opts)
+	if err != nil {
+		t.Fatalf("EngineConfig: %v", err)
+	}
+	return ec, plan
 }
 
 // startScenarioCluster is startCluster for campaign runs: both the
@@ -57,8 +54,7 @@ func scenarioEngineConfig(t *testing.T, sc *scenario.Scenario) (core.ShardEngine
 func startScenarioCluster(t *testing.T, name string) *clusterHarness {
 	t.Helper()
 	const workers = 2
-	ec, _ := scenarioEngineConfig(t, scenario.Builtin(name))
-	ec.Metrics = metrics.NewRegistry()
+	ec, _ := scenarioEngineConfig(t, scenarioOptions(t, name))
 	tag := "scenario-test-" + name
 	c, err := New(Config{
 		Engine:            ec,
@@ -79,7 +75,7 @@ func startScenarioCluster(t *testing.T, name string) *clusterHarness {
 	h := &clusterHarness{c: c, errs: make([]error, workers), workers: workers}
 	for i := 0; i < workers; i++ {
 		i := i
-		wec, _ := scenarioEngineConfig(t, scenario.Builtin(name))
+		wec, _ := scenarioEngineConfig(t, scenarioOptions(t, name))
 		wc := WorkerConfig{
 			Addr:              c.Addr().String(),
 			Engine:            wec,
@@ -102,24 +98,14 @@ func startScenarioCluster(t *testing.T, name string) *clusterHarness {
 
 // TestClusterScorecardMatchesFacade closes the acceptance loop on the
 // scenario engine: the same campaign at the same seed and shard count,
-// run once through the potemkin facade (sequential shard engine) and
+// run once through the potemkin facade (parallel shard engine) and
 // once through a real coordinator + two workers over TCP loopback, must
 // emit byte-identical scorecards.
 func TestClusterScorecardMatchesFacade(t *testing.T) {
 	for _, name := range scenario.Names() {
 		t.Run(name, func(t *testing.T) {
-			campaign, err := potemkin.LoadScenario(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			hf, err := potemkin.New(potemkin.Options{
-				Seed:           scenarioSeed,
-				MonitoredSpace: scenarioSpace,
-				Servers:        4,
-				GatewayShards:  2,
-				Policy:         potemkin.InternalReflect,
-				Scenario:       campaign,
-			})
+			opts := scenarioOptions(t, name)
+			hf, err := potemkin.New(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +119,7 @@ func TestClusterScorecardMatchesFacade(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			_, plan := scenarioEngineConfig(t, scenario.Builtin(name))
+			_, plan := scenarioEngineConfig(t, opts)
 			h := startScenarioCluster(t, name)
 			defer h.shutdown(t)
 			if _, err := h.c.Replay(&telescope.SliceSource{Recs: plan.Records}, nil, plan.Settle); err != nil {

@@ -286,10 +286,10 @@ func runE3Arm(seed uint64, trace []telescope.Record, traceEnd sim.Time,
 		series.Add(now.Seconds(), float64(g.NumBindings()))
 	})
 
-	rp := &telescope.Replayer{K: k, Recs: trace, Emit: func(now sim.Time, pkt *netsim.Packet) {
+	rp := &telescope.StreamReplayer{K: k, Src: &telescope.SliceSource{Recs: trace}, Emit: func(now sim.Time, pkt *netsim.Packet) {
 		g.HandleInbound(now, pkt)
 	}}
-	rp.Start()
+	rp.Run() // a SliceSource never fails
 	k.RunUntil(traceEnd.Add(time.Second))
 	g.Close()
 	return series, g.Stats()

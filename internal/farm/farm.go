@@ -628,9 +628,6 @@ func (fv *FarmVM) Deliver(now sim.Time, pkt *netsim.Packet) {
 	}
 	fv.Host.ChargeCPU(now, fv.Host.Cfg.CPU.PerPacket)
 	if d := fv.farm.Cfg.DownlinkLatency; d > 0 {
-		if pkt.Ephemeral {
-			pkt = pkt.Clone() // held by the timer past this dispatch
-		}
 		fv.farm.K.After(d, func(then sim.Time) {
 			if fv.VM.State == vmm.StateRunning {
 				fv.Guest.HandlePacket(then, pkt)

@@ -62,9 +62,6 @@ func (g *Gateway) HandleInbound(now sim.Time, pkt *netsim.Packet) {
 			g.stats.PendingDropped++
 			return
 		}
-		if pkt.Ephemeral {
-			pkt = pkt.Clone() // queued past this dispatch: own the bytes
-		}
 		b.pending = append(b.pending, pkt)
 		g.pendingDepth++
 		g.met.pendingQueued.Add(1)

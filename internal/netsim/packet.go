@@ -72,24 +72,14 @@ type Packet struct {
 	ICMPCode         byte   // ICMP
 
 	Payload []byte
-
-	// Ephemeral marks a packet whose storage (typically a pooled wire
-	// frame) is reclaimed when the current dispatch returns: consumers
-	// may read it synchronously but must Clone before retaining it —
-	// queueing it, capturing it into a closure. It is a transient
-	// dispatch property, not part of the packet's identity: Clone
-	// clears it and the wire and cluster codecs do not carry it.
-	Ephemeral bool
 }
 
-// Clone returns a deep copy (payload included). The copy is always
-// retainable: Ephemeral is cleared.
+// Clone returns a deep copy (payload included).
 func (p *Packet) Clone() *Packet {
 	q := *p
 	if p.Payload != nil {
 		q.Payload = append([]byte(nil), p.Payload...)
 	}
-	q.Ephemeral = false
 	return &q
 }
 

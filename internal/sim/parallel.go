@@ -430,9 +430,6 @@ func (r *ParallelRunner) advance(end Time) {
 		}
 		return
 	}
-	if r.work == nil {
-		r.startWorkers()
-	}
 	r.curEnd = end
 	r.wg.Add(len(r.kernels))
 	for _, ch := range r.work {
@@ -451,21 +448,33 @@ func (r *ParallelRunner) RunUntil(deadline Time) { r.RunEpochs(deadline, nil) }
 // after each completed epoch and returns once it reports true. Replay
 // drivers hand the barrier a wide deadline and stop at the first
 // barrier after source exhaustion, which keeps the final clock
-// identical across fixed, adaptive, and cluster execution.
+// identical across fixed, adaptive, and cluster execution. With an
+// observer installed each phase is wall-timed and the observer is
+// invoked at every barrier; event execution is identical either way.
 func (r *ParallelRunner) RunEpochs(deadline Time, stop func() bool) {
-	if r.observer != nil {
-		r.runEpochsObserved(deadline, stop)
-		return
-	}
+	r.timed = r.observer != nil
 	for r.now < deadline {
+		var epochT0 time.Time
+		var msgs int
+		if r.timed {
+			epochT0 = time.Now()
+			msgs = r.pendingMsgs()
+		}
 		r.exchange()
-		end := r.epochEnd(deadline)
+		var exchangeNS int64
+		if r.timed {
+			exchangeNS = time.Since(epochT0).Nanoseconds()
+		}
+		start, end := r.now, r.epochEnd(deadline)
 		if r.beforeEpoch != nil {
-			r.beforeEpoch(r.now, end)
+			r.beforeEpoch(start, end)
 		}
 		r.advance(end)
 		r.now = end
 		r.epochSeq++
+		if r.timed {
+			r.observe(start, end, epochT0, exchangeNS, msgs)
+		}
 		if stop != nil && stop() {
 			break
 		}
@@ -473,50 +482,29 @@ func (r *ParallelRunner) RunEpochs(deadline Time, stop func() bool) {
 	r.exchange()
 }
 
-// runEpochsObserved is RunEpochs with per-phase wall timing. Identical
-// event execution — only timestamps are added around each phase and the
-// observer is invoked at each barrier.
-func (r *ParallelRunner) runEpochsObserved(deadline Time, stop func() bool) {
-	r.timed = true
-	defer func() { r.timed = false }()
-	for r.now < deadline {
-		epochT0 := time.Now()
-		msgs := r.pendingMsgs()
-		r.exchange()
-		exchangeNS := time.Since(epochT0).Nanoseconds()
-		end := r.epochEnd(deadline)
-		start := r.now
-		if r.beforeEpoch != nil {
-			r.beforeEpoch(start, end)
-		}
-		r.advance(end)
-		r.now = end
-		r.epochSeq++
-		slowest, maxAdv := 0, int64(0)
-		for i, ns := range r.advanceNS {
-			if ns > maxAdv {
-				slowest, maxAdv = i, ns
-			}
-		}
-		for i, ns := range r.advanceNS {
-			r.waitNS[i] = maxAdv - ns
-		}
-		r.observer(EpochStats{
-			Seq:           r.epochSeq,
-			Start:         start,
-			End:           end,
-			WallNS:        time.Since(epochT0).Nanoseconds(),
-			ExchangeNS:    exchangeNS,
-			ExchangeMsgs:  msgs,
-			AdvanceNS:     r.advanceNS,
-			BarrierWaitNS: r.waitNS,
-			SlowestShard:  slowest,
-		})
-		if stop != nil && stop() {
-			break
+// observe reports one completed epoch to the observer: the advance
+// times the shards recorded and each shard's wait for the slowest.
+func (r *ParallelRunner) observe(start, end Time, epochT0 time.Time, exchangeNS int64, msgs int) {
+	slowest, maxAdv := 0, int64(0)
+	for i, ns := range r.advanceNS {
+		if ns > maxAdv {
+			slowest, maxAdv = i, ns
 		}
 	}
-	r.exchange()
+	for i, ns := range r.advanceNS {
+		r.waitNS[i] = maxAdv - ns
+	}
+	r.observer(EpochStats{
+		Seq:           r.epochSeq,
+		Start:         start,
+		End:           end,
+		WallNS:        time.Since(epochT0).Nanoseconds(),
+		ExchangeNS:    exchangeNS,
+		ExchangeMsgs:  msgs,
+		AdvanceNS:     r.advanceNS,
+		BarrierWaitNS: r.waitNS,
+		SlowestShard:  slowest,
+	})
 }
 
 // RunFor is RunUntil(Now()+d).

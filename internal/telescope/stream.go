@@ -94,8 +94,7 @@ func SummarizeSource(src Source) (Stats, error) {
 }
 
 // StreamReplayer injects a Source into a receiver over the sim kernel
-// while holding only one record in memory. Unlike Replayer (which
-// schedules every record up front), it alternates schedule-one /
+// while holding only one record in memory. It alternates schedule-one /
 // run-to-it, so the kernel queue stays shallow. It drives a single
 // kernel wired by hand; the facade replays through core.ReplayOver.
 type StreamReplayer struct {

@@ -268,16 +268,20 @@ func TestReplayerDeliversAtTraceTimes(t *testing.T) {
 		{At: sim.Start.Add(3 * time.Second), Src: 3, Dst: 4, Proto: netsim.ProtoTCP, Flags: netsim.FlagSYN},
 	}
 	var got []sim.Time
-	rp := &Replayer{K: k, Recs: recs, Emit: func(now sim.Time, pkt *netsim.Packet) {
+	rp := &StreamReplayer{K: k, Src: &SliceSource{Recs: recs}, Emit: func(now sim.Time, pkt *netsim.Packet) {
 		got = append(got, now)
 	}}
-	rp.Start()
-	k.Run()
+	if err := rp.Run(); err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != 2 || got[0] != recs[0].At || got[1] != recs[1].At {
 		t.Errorf("delivery times = %v", got)
 	}
 	if rp.Injected != 2 {
 		t.Errorf("Injected = %d", rp.Injected)
+	}
+	if rp.Last != recs[1].At {
+		t.Errorf("Last = %v, want %v", rp.Last, recs[1].At)
 	}
 }
 

@@ -141,7 +141,9 @@ type Options struct {
 	// grid; larger values widen further. Requires Parallel.
 	AdaptiveEpochs int
 
-	// Policy is the containment mode. Default InternalReflect.
+	// Policy is the containment mode. The zero value is Open; set
+	// InternalReflect, the paper's headline policy, explicitly (the
+	// potemkind -policy flag defaults to internal-reflect).
 	Policy Policy
 	// IdleTimeout recycles VMs idle this long; 0 keeps the default of
 	// 60 s; negative disables recycling.
@@ -416,45 +418,40 @@ type Honeyfarm struct {
 	captures []*captureFile
 }
 
-// New constructs a honeyfarm from opts.
-func New(opts Options) (*Honeyfarm, error) {
+// EngineConfig translates opts into the shard engine configuration and
+// the compiled attacker campaign (nil without Options.Scenario) that
+// every execution mode builds from: defaults, Validate, the monitored
+// space, the scenario compile, the farm and gateway templates, the
+// output writers, and the telemetry registry (created when Metrics or
+// Scenario is set). New calls it, and so do both cluster roles, so the
+// same Options wire the same farm — and the same seed gives the same
+// bytes — in every mode. Hooks, capture and checkpoint sinks belong to
+// a Honeyfarm and are left unset.
+func EngineConfig(opts Options) (core.ShardEngineConfig, *scenario.Plan, error) {
 	opts = opts.withDefaults()
 	if err := opts.Validate(); err != nil {
-		return nil, err
+		return core.ShardEngineConfig{}, nil, err
 	}
 	space, _ := netsim.ParsePrefix(opts.MonitoredSpace)
-	var plan *scenario.Plan
-	if opts.Scenario != nil {
-		var err error
-		plan, err = scenario.Compile(opts.Scenario, opts.Seed, space)
-		if err != nil {
-			return nil, err
-		}
-		// A scenario run is always scored, and the scorecard is computed
-		// from the telemetry registry.
-		opts.Metrics = true
-	}
-	// The shard engine counts shards from 1.
-	if opts.GatewayShards < 1 {
-		opts.GatewayShards = 1
-	}
-	hf := &Honeyfarm{opts: opts, space: space, plan: plan}
-	if plan != nil {
-		hf.profile = plan.Profile
-	} else {
-		hf.profile = opts.guestProfile()
-	}
-	if opts.Metrics {
-		hf.metrics = metrics.NewRegistry()
-	}
 
 	fc := farm.DefaultConfig()
 	fc.Servers = opts.Servers
 	fc.HostConfig.MemoryBytes = opts.ServerMemory
 	fc.FullBoot = opts.FullBoot
-	fc.Profile = hf.profile
-	if plan != nil {
+	var plan *scenario.Plan
+	if opts.Scenario != nil {
+		var err error
+		plan, err = scenario.Compile(opts.Scenario, opts.Seed, space)
+		if err != nil {
+			return core.ShardEngineConfig{}, nil, err
+		}
+		fc.Profile = plan.Profile
 		fc.PickTargetFor = plan.PickTargetFor()
+		// A scenario run is always scored, and the scorecard is computed
+		// from the telemetry registry.
+		opts.Metrics = true
+	} else {
+		fc.Profile = opts.guestProfile()
 	}
 
 	gc := gateway.DefaultConfig()
@@ -471,33 +468,8 @@ func New(opts Options) (*Honeyfarm, error) {
 		gc.IdleTimeout = opts.IdleTimeout
 	}
 
-	return hf.build(fc, gc)
-}
-
-// fail is the single error exit: whatever partial state New built —
-// in particular capture files already opened by openCapture — is
-// flushed and closed before the error is returned, so a failed New
-// never leaks open file handles or unflushed buffers.
-func (hf *Honeyfarm) fail(err error) (*Honeyfarm, error) {
-	hf.closeCaptures()
-	return nil, err
-}
-
-// build wires the shard engine: one domain (kernel + gateway + farm
-// slice + safe resolver) per gateway shard, epochs synchronized by
-// core.ShardEngine. With Parallel the domains run on one goroutine
-// each; without, the same engine advances single-threaded — same bytes
-// either way. Scenario runs use the same topology, kernels, and RNG
-// streams as cluster mode, so a plan replays byte-identically under
-// all three execution modes.
-func (hf *Honeyfarm) build(fc farm.Config, gc gateway.Config) (*Honeyfarm, error) {
-	opts := hf.opts
-	var hooks Hooks
-	if opts.Hooks != nil {
-		hooks = *opts.Hooks
-	}
 	ec := core.ShardEngineConfig{
-		Shards:         opts.GatewayShards,
+		Shards:         max(opts.GatewayShards, 1), // the engine counts shards from 1
 		Parallel:       opts.Parallel,
 		AdaptiveEpochs: opts.AdaptiveEpochs,
 		Seed:           opts.Seed,
@@ -506,8 +478,37 @@ func (hf *Honeyfarm) build(fc farm.Config, gc gateway.Config) (*Honeyfarm, error
 		EventLog:       opts.EventLog,
 		TraceOut:       opts.TraceOut,
 		ChromeOut:      opts.TraceChrome,
-		Metrics:        hf.metrics,
 		EpochLog:       opts.EpochLog,
+	}
+	if opts.Metrics {
+		ec.Metrics = metrics.NewRegistry()
+	}
+	return ec, plan, nil
+}
+
+// New constructs a honeyfarm from opts: the shard engine EngineConfig
+// describes — one domain (kernel + gateway + farm slice + safe
+// resolver) per gateway shard, epochs synchronized by
+// core.ShardEngine — plus the Honeyfarm's hooks, capture files and
+// checkpoints. With Parallel the domains run on one goroutine each;
+// without, the same engine advances single-threaded — same bytes
+// either way, and the same as a cluster run of the same Options.
+func New(opts Options) (*Honeyfarm, error) {
+	ec, plan, err := EngineConfig(opts)
+	if err != nil {
+		return nil, err
+	}
+	opts = opts.withDefaults()
+	hf := &Honeyfarm{
+		opts:    opts,
+		space:   ec.Gateway.Space,
+		profile: ec.Farm.Profile,
+		plan:    plan,
+		metrics: ec.Metrics,
+	}
+	var hooks Hooks
+	if opts.Hooks != nil {
+		hooks = *opts.Hooks
 	}
 	if hooks.OnInfected != nil {
 		cb := hooks.OnInfected
@@ -533,7 +534,7 @@ func (hf *Honeyfarm) build(fc farm.Config, gc gateway.Config) (*Honeyfarm, error
 	}
 	if opts.CaptureDir != "" {
 		ec.Capture = func(shard int) (gateway.CaptureSink, error) {
-			if opts.GatewayShards == 1 {
+			if ec.Shards == 1 {
 				return hf.openCapture(opts.CaptureDir)
 			}
 			return hf.openCapture(filepath.Join(opts.CaptureDir, fmt.Sprintf("shard-%d", shard)))
@@ -545,11 +546,20 @@ func (hf *Honeyfarm) build(fc farm.Config, gc gateway.Config) (*Honeyfarm, error
 	}
 	hf.eng = eng
 	if opts.SnapshotWarmup > 0 {
-		if err := eng.PrepareSnapshotImages(fc.Image.Name+"-settled", opts.SnapshotWarmup); err != nil {
+		if err := eng.PrepareSnapshotImages(ec.Farm.Image.Name+"-settled", opts.SnapshotWarmup); err != nil {
 			return hf.fail(err)
 		}
 	}
 	return hf, nil
+}
+
+// fail is the single error exit: whatever partial state New built —
+// in particular capture files already opened by openCapture — is
+// flushed and closed before the error is returned, so a failed New
+// never leaks open file handles or unflushed buffers.
+func (hf *Honeyfarm) fail(err error) (*Honeyfarm, error) {
+	hf.closeCaptures()
+	return nil, err
 }
 
 // Resolver exposes the built-in safe DNS resolver (to add zone entries

@@ -22,6 +22,33 @@ common=(-shards "$shards" -seed "$seed" -duration "$dur" -rate "$rate")
 echo "== building potemkind"
 go build -o "$work/potemkind" ./cmd/potemkind
 
+echo "== invalid options: the coordinator rejects them like single-process"
+bad=(-shards 4 -servers 2 -seed "$seed" -duration 1s)
+set +e
+"$work/potemkind" "${bad[@]}" >"$work/bad-single.out" 2>"$work/bad-single.err"
+single_rc=$?
+"$work/potemkind" -coordinator "$addr" "${bad[@]}" >"$work/bad-coord.out" 2>"$work/bad-coord.err"
+coord_rc=$?
+set -e
+if [ "$single_rc" -ne 1 ] || [ "$coord_rc" -ne 1 ]; then
+    echo "FAIL: invalid options exited $single_rc (single) / $coord_rc (coordinator), want 1" >&2
+    exit 1
+fi
+if [ -s "$work/bad-coord.out" ]; then
+    echo "FAIL: coordinator started before rejecting invalid options:" >&2
+    cat "$work/bad-coord.out" >&2
+    exit 1
+fi
+grep -q "^potemkind: potemkin: " "$work/bad-single.err" || {
+    echo "FAIL: no Validate line from single-process run" >&2
+    cat "$work/bad-single.err" >&2
+    exit 1
+}
+if ! diff -u "$work/bad-single.err" "$work/bad-coord.err"; then
+    echo "FAIL: coordinator's validation differs from single-process" >&2
+    exit 1
+fi
+
 echo "== single-process oracle"
 "$work/potemkind" -parallel "${common[@]}" -json >"$work/oracle.raw"
 
